@@ -130,7 +130,7 @@ double measure_panel_pairs_per_second(const BsplineMi& estimator,
   return static_cast<double>(pairs) / watch.seconds();
 }
 
-void panel_table() {
+void panel_table(bench::BenchJson& out) {
   bench::print_header(
       "Panel blocking: row-reuse MI sweep vs per-pair kernels",
       "pairs/s for the panel path (one row gene amortized over B column "
@@ -162,24 +162,30 @@ void panel_table() {
                    strprintf("pair/%s (best)", best_pair_name), "1",
                    bench::rate_str(best_pair), "1.00x"});
 
+    const auto add = [&](MiKernel kernel, std::size_t width) {
+      const double rate = measure_panel_pairs_per_second(
+          estimator, data.ranked(), kernel, width);
+      table.add_row({std::to_string(m),
+                     strprintf("panel/%s", kernel_name(kernel)),
+                     std::to_string(width), bench::rate_str(rate),
+                     strprintf("%.2fx", rate / best_pair)});
+      obs::Json json = obs::Json::object();
+      json["table"] = obs::Json(std::string("panel_blocking"));
+      json["samples"] = obs::Json(m);
+      json["kernel"] = obs::Json(strprintf("panel/%s", kernel_name(kernel)));
+      json["width"] = obs::Json(width);
+      json["pairs_per_second"] = obs::Json(rate);
+      json["best_pair_kernel"] = obs::Json(std::string(best_pair_name));
+      json["speedup_vs_best_pair"] = obs::Json(rate / best_pair);
+      out.add_row(std::move(json));
+    };
     for (const MiKernel kernel : panel_kernels) {
       for (const std::size_t width : {std::size_t{2}, std::size_t{4},
-                                      std::size_t{8}}) {
-        const double rate = measure_panel_pairs_per_second(
-            estimator, data.ranked(), kernel, width);
-        table.add_row({std::to_string(m),
-                       strprintf("panel/%s", kernel_name(kernel)),
-                       std::to_string(width), bench::rate_str(rate),
-                       strprintf("%.2fx", rate / best_pair)});
-      }
+                                      std::size_t{8}})
+        add(kernel, width);
     }
-    const int auto_width = auto_panel_width(estimator.table());
-    const double auto_rate = measure_panel_pairs_per_second(
-        estimator, data.ranked(), MiKernel::Auto,
-        static_cast<std::size_t>(auto_width));
-    table.add_row({std::to_string(m), "panel/auto",
-                   std::to_string(auto_width), bench::rate_str(auto_rate),
-                   strprintf("%.2fx", auto_rate / best_pair)});
+    add(MiKernel::Auto,
+        static_cast<std::size_t>(auto_panel_width(estimator.table())));
   }
   table.print();
   std::printf(
@@ -189,14 +195,13 @@ void panel_table() {
       "2048.\n\n");
 }
 
-// ---- memory-side panel knobs (F2c) -----------------------------------------
+// ---- uint16 rank staging (F2c) ---------------------------------------------
 
-// Measures the FMA panel with an explicit PanelOptions policy over rank rows
-// served by `row` (uint32 or uint16 — deduced).
+// Measures the FMA panel over rank rows served by `row` (uint32 or uint16 —
+// deduced).
 template <typename RowFn>
-double measure_panel_options(const BsplineMi& estimator, std::size_t n,
-                             RowFn row, const PanelOptions& options,
-                             std::size_t width, double budget_seconds = 0.3) {
+double measure_panel_rows(const BsplineMi& estimator, std::size_t n, RowFn row,
+                          std::size_t width, double budget_seconds = 0.3) {
   JointHistogram scratch = estimator.make_scratch();
   Stopwatch watch;
   std::size_t pairs = 0;
@@ -208,7 +213,8 @@ double measure_panel_options(const BsplineMi& estimator, std::size_t n,
     for (std::size_t i = 0; i + width < n && watch.seconds() < budget_seconds;
          i += width) {
       for (std::size_t p = 0; p < width; ++p) ry[p] = row(i + 1 + p);
-      estimator.mi_panel(row(i), ry, width, scratch, options, mi);
+      joint_entropy_panel(estimator.table(), row(i), ry, width,
+                          estimator.n_samples(), scratch, MiKernel::Simd, mi);
       for (std::size_t p = 0; p < width; ++p) sink += mi[p];
       pairs += width;
     }
@@ -217,68 +223,51 @@ double measure_panel_options(const BsplineMi& estimator, std::size_t n,
   return static_cast<double>(pairs) / watch.seconds();
 }
 
-// One row per memory-side knob against the panel-FMA baseline (all knobs
-// off, uint32 ranks). Every variant computes bit-identical MI values — the
-// knobs change where bytes come from, not which floats are multiplied.
+// The B=8 FMA panel over uint32 rank rows against the same panel over the
+// uint16 staged copy. Both compute bit-identical MI values — staging changes
+// how many rank bytes are streamed, not which floats are multiplied.
 void panel_knob_table(bench::BenchJson& out) {
   bench::print_header(
-      "F2c: panel-FMA memory-side knobs (single thread)",
-      "pairs/s of the B=8 FMA panel with each knob alone, then all "
-      "together; speedup vs the all-off baseline. b=10, k=3.");
+      "F2c: panel-FMA rank staging (single thread)",
+      "pairs/s of the B=8 FMA panel over uint32 and uint16 rank rows; "
+      "speedup vs uint32. b=10, k=3.");
 
   const std::vector<std::size_t> sample_counts{2048, 3137};
   constexpr std::size_t kWidth = 8;
   constexpr std::size_t kGenes = 64;
-
-  struct Variant {
-    const char* name;
-    bool u16;
-    PanelOptions options;
-  };
-  const PanelOptions base{MiKernel::Simd, /*prefetch=*/false,
-                          /*packed=*/false};
-  const std::vector<Variant> variants{
-      {"baseline (u32, all off)", false, base},
-      {"+uint16 rank staging", true, base},
-      {"+packed weight table", false,
-       PanelOptions{MiKernel::Simd, false, true}},
-      {"+software prefetch", false, PanelOptions{MiKernel::Simd, true, false}},
-      {"all on", true, PanelOptions{MiKernel::Simd, true, true}},
-  };
 
   Table table({"m (samples)", "variant", "pairs/s", "speedup"});
   for (const std::size_t m : sample_counts) {
     const bench::RandomRanks data(kGenes, m);
     const BsplineMi estimator(kBins, kOrder, m);
     const StagedRankMatrix staged(data.ranked());
-    const auto row32 = [&](std::size_t g) {
-      return data.ranked().ranks(g).data();
-    };
-    const auto row16 = [&](std::size_t g) { return staged.row(g); };
-
-    double baseline_rate = 0.0;
-    for (const Variant& variant : variants) {
-      const double rate =
-          variant.u16 ? measure_panel_options(estimator, kGenes, row16,
-                                              variant.options, kWidth)
-                      : measure_panel_options(estimator, kGenes, row32,
-                                              variant.options, kWidth);
-      if (baseline_rate == 0.0) baseline_rate = rate;
-      table.add_row({std::to_string(m), variant.name, bench::rate_str(rate),
-                     strprintf("%.2fx", rate / baseline_rate)});
+    const double base_rate = measure_panel_rows(
+        estimator, kGenes,
+        [&](std::size_t g) { return data.ranked().ranks(g).data(); }, kWidth);
+    const double u16_rate = measure_panel_rows(
+        estimator, kGenes, [&](std::size_t g) { return staged.row(g); },
+        kWidth);
+    const struct {
+      const char* name;
+      double rate;
+    } rows[] = {{"baseline (u32, all off)", base_rate},
+                {"+uint16 rank staging", u16_rate}};
+    for (const auto& row : rows) {
+      table.add_row({std::to_string(m), row.name, bench::rate_str(row.rate),
+                     strprintf("%.2fx", row.rate / base_rate)});
       obs::Json json = obs::Json::object();
       json["table"] = obs::Json(std::string("panel_knobs"));
       json["samples"] = obs::Json(m);
-      json["variant"] = obs::Json(std::string(variant.name));
-      json["pairs_per_second"] = obs::Json(rate);
-      json["speedup_vs_baseline"] = obs::Json(rate / baseline_rate);
+      json["variant"] = obs::Json(std::string(row.name));
+      json["pairs_per_second"] = obs::Json(row.rate);
+      json["speedup_vs_baseline"] = obs::Json(row.rate / base_rate);
       out.add_row(std::move(json));
     }
   }
   table.print();
   std::printf(
-      "\nAll rows are bit-identical in output; the deltas are pure memory-\n"
-      "system effects (rank-stream bytes, table-row loads, miss latency).\n\n");
+      "\nBoth rows are bit-identical in output; the delta is the rank-stream\n"
+      "bytes alone.\n\n");
 }
 
 // ---- google-benchmark microbenchmarks --------------------------------------
@@ -362,7 +351,7 @@ void register_benchmarks() {
 int main(int argc, char** argv) {
   bench::BenchJson out("mi_kernels");
   summary_table(out);
-  panel_table();
+  panel_table(out);
   panel_knob_table(out);
   std::printf("wrote %s\n", out.write().c_str());
   register_benchmarks();

@@ -77,8 +77,6 @@ void knob_ablation_table(const bench::EngineFixture& fixture,
   TingeConfig baseline = bench::engine_config(threads);
   baseline.kernel = MiKernel::Simd;  // pin the FMA panel: knobs only
   baseline.stage_ranks = false;
-  baseline.packed_table = KnobMode::Off;
-  baseline.prefetch = KnobMode::Off;
   baseline.numa = KnobMode::Off;
 
   struct Variant {
@@ -94,37 +92,22 @@ void knob_ablation_table(const bench::EngineFixture& fixture,
   }
   {
     TingeConfig c = baseline;
-    c.packed_table = KnobMode::On;
-    variants.push_back({"+packed weight table", c});
-  }
-  {
-    TingeConfig c = baseline;
-    c.prefetch = KnobMode::On;
-    variants.push_back({"+software prefetch", c});
-  }
-  {
-    TingeConfig c = baseline;
     c.numa = KnobMode::On;
     variants.push_back({"+NUMA tile scheduling", c});
   }
   {
     TingeConfig c = baseline;
     c.stage_ranks = true;
-    c.packed_table = KnobMode::On;
-    c.prefetch = KnobMode::On;
     c.numa = KnobMode::On;
     variants.push_back({"all on", c});
   }
   {
-    // What the engine actually ships: measured-auto keeps the knobs that
-    // win on this host and drops the ones that lose, so this row should
-    // never fall below the baseline by more than measurement noise.
+    // What the engine actually ships: staging on, NUMA scheduling when the
+    // host has more than one node.
     TingeConfig c = baseline;
     c.stage_ranks = true;
-    c.packed_table = KnobMode::Auto;
-    c.prefetch = KnobMode::Auto;
     c.numa = KnobMode::Auto;
-    variants.push_back({"auto (default knobs)", c});
+    variants.push_back({"default knobs", c});
   }
 
   Table table({"variant", "seconds", "pairs/s", "speedup"});

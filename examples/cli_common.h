@@ -75,12 +75,6 @@ inline void add_pipeline_options(ArgParser& args) {
   args.add("stage-ranks",
            "stage rank rows as uint16 when samples <= 65536: on|off",
            defaults.stage_ranks ? "on" : "off");
-  args.add("prefetch", "software prefetch in the panel kernels: on|off|auto",
-           std::string(knob_mode_name(defaults.prefetch)));
-  args.add("packed-table",
-           "read the packed interleaved weight table in FMA panels: "
-           "on|off|auto",
-           std::string(knob_mode_name(defaults.packed_table)));
   args.add("seed", "RNG seed for the permutation null",
            strprintf("%llu",
                      static_cast<unsigned long long>(defaults.seed)));
@@ -182,9 +176,7 @@ inline TingeConfig config_from_args(const ArgParser& args) {
   };
   config.numa = parse_knob("numa");
   config.hetero = args.get("hetero");
-  config.prefetch = parse_knob("prefetch");
   config.stage_ranks = parse_switch("stage-ranks");
-  config.packed_table = parse_knob("packed-table");
   config.seed = static_cast<std::uint64_t>(args.get_int("seed"));
   config.apply_dpi = args.get_flag("dpi");
   config.dpi_tolerance = args.get_double("dpi-tolerance");

@@ -3,9 +3,10 @@
 
 Absolute pairs/s depend on the runner and are useless across CI hosts, so
 the comparison unit is the *speedup ratio* each row already carries
-(speedup_vs_scalar for the kernel ladder, speedup_vs_baseline for the
-memory-side knob rows): those are measured against a same-host, same-run
-reference and stay meaningful on any machine.
+(speedup_vs_scalar for the kernel ladder, speedup_vs_best_pair for the
+panel-blocking rows, speedup_vs_baseline for ablation rows): those are
+measured against a same-host, same-run reference and stay meaningful on
+any machine.
 
 A row regresses when its ratio drops below baseline * tolerance (default
 0.8, i.e. fail on a >20% regression). Rows present in the current run but
@@ -26,12 +27,14 @@ def row_key(row):
         row.get("table"),
         row.get("samples"),
         row.get("kernel") or row.get("variant"),
+        row.get("width"),
     )
 
 
 def row_ratio(row):
     """The host-independent speedup metric of a row, if it carries one."""
-    for field in ("speedup_vs_scalar", "speedup_vs_baseline"):
+    for field in ("speedup_vs_scalar", "speedup_vs_best_pair",
+                  "speedup_vs_baseline"):
         if field in row:
             return row[field]
     return None
@@ -64,8 +67,10 @@ def main(argv):
 
     failures = []
     for key, reference in sorted(baseline.items()):
-        table, samples, variant = key
+        table, samples, variant, width = key
         label = f"{table}/m={samples}/{variant}"
+        if width is not None:
+            label += f"/B={width}"
         if key not in current:
             failures.append(f"{label}: missing from current run")
             continue

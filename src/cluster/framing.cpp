@@ -2,6 +2,7 @@
 
 #include <sys/socket.h>
 #include <sys/types.h>
+#include <sys/uio.h>
 
 #include <cerrno>
 #include <csignal>
@@ -57,8 +58,33 @@ void write_frame(int fd, std::uint32_t kind, std::int32_t tag,
   header.kind = kind;
   header.tag = tag;
   header.bytes = bytes;
-  write_full(fd, &header, sizeof(header));
-  if (bytes > 0) write_full(fd, payload, bytes);
+  // Header and payload leave in one sendmsg: two sends would let Nagle hold
+  // the payload back until the peer's delayed ACK of the header arrives.
+  iovec parts[2] = {{&header, sizeof(header)},
+                    {const_cast<void*>(payload), bytes}};
+  msghdr message{};
+  message.msg_iov = parts;
+  message.msg_iovlen = bytes > 0 ? 2 : 1;
+  while (message.msg_iovlen > 0) {
+    const ssize_t sent = ::sendmsg(fd, &message, MSG_NOSIGNAL);
+    if (sent < 0) {
+      if (errno == EINTR) continue;
+      throw SocketError("send failed", errno);
+    }
+    // A partial write may stop anywhere: skip the parts fully sent and
+    // resume mid-part.
+    auto left = static_cast<std::size_t>(sent);
+    while (message.msg_iovlen > 0 && left >= message.msg_iov->iov_len) {
+      left -= message.msg_iov->iov_len;
+      ++message.msg_iov;
+      --message.msg_iovlen;
+    }
+    if (message.msg_iovlen > 0) {
+      message.msg_iov->iov_base =
+          static_cast<char*>(message.msg_iov->iov_base) + left;
+      message.msg_iov->iov_len -= left;
+    }
+  }
 }
 
 bool read_frame(int fd, FrameHeader& header, std::vector<std::byte>& payload,

@@ -75,9 +75,11 @@ void write_full(int fd, const void* data, std::size_t bytes);
 /// closed connection — the peer is gone mid-message).
 bool read_full(int fd, void* data, std::size_t bytes);
 
-/// Writes one whole frame (header + optional payload). The caller owns any
-/// per-connection serialization (concurrent writers to one fd must hold
-/// the same lock or frames interleave mid-stream).
+/// Writes one whole frame (header + optional payload) with a single
+/// sendmsg, retrying EINTR and partial writes; throws SocketError like
+/// write_full. The caller owns any per-connection serialization
+/// (concurrent writers to one fd must hold the same lock or frames
+/// interleave mid-stream).
 void write_frame(int fd, std::uint32_t kind, std::int32_t tag,
                  const void* payload, std::size_t bytes);
 

@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -38,6 +39,10 @@ ServeClient::ServeClient(const std::string& host, int port) {
         strprintf("serve client: connect to %s:%d failed: %s", host.c_str(),
                   port, std::strerror(saved)));
   }
+  // Requests are whole frames; flush each at once instead of letting Nagle
+  // wait on the daemon's delayed ACK.
+  const int one = 1;
+  ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
 ServeClient ServeClient::from_port_file(const std::string& path,

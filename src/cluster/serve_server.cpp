@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -282,18 +283,13 @@ void ServeServer::stop() {
   listen_fd_ = -1;
   {
     std::lock_guard<std::mutex> lock(clients_mutex_);
-    for (const int fd : client_fds_)
-      if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
+    for (const ClientSlot& client : clients_)
+      if (client.fd >= 0) ::shutdown(client.fd, SHUT_RDWR);
   }
-  for (std::thread& thread : client_threads_)
-    if (thread.joinable()) thread.join();
-  {
-    std::lock_guard<std::mutex> lock(clients_mutex_);
-    for (int& fd : client_fds_) {
-      if (fd >= 0) ::close(fd);
-      fd = -1;
-    }
-  }
+  // The accept thread is gone, so no slot is added or reaped from here on;
+  // every handler closes its own fd on the way out.
+  for (ClientSlot& client : clients_) client.thread.join();
+  clients_.clear();
   {
     std::lock_guard<std::mutex> lock(shutdown_mutex_);
     shutdown_ = true;
@@ -312,19 +308,36 @@ void ServeServer::accept_loop() {
       ::close(fd);
       return;
     }
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     const std::uint64_t client_id = next_client_id_.fetch_add(1);
+    reap_finished_clients();
     std::lock_guard<std::mutex> lock(clients_mutex_);
-    const std::size_t slot = client_fds_.size();
-    client_fds_.push_back(fd);
-    client_threads_.emplace_back([this, fd, client_id, slot] {
+    ClientSlot& slot = clients_.emplace_back();
+    slot.fd = fd;
+    slot.thread = std::thread([this, &slot, fd, client_id] {
       handle_client(fd, client_id);
       // Close under the clients lock and clear the slot so stop() neither
       // double-closes nor shuts down a recycled fd number.
       std::lock_guard<std::mutex> slot_lock(clients_mutex_);
       ::close(fd);
-      client_fds_[slot] = -1;
+      slot.fd = -1;
+      slot.done = true;
     });
   }
+}
+
+void ServeServer::reap_finished_clients() {
+  std::list<ClientSlot> finished;
+  {
+    std::lock_guard<std::mutex> lock(clients_mutex_);
+    for (auto it = clients_.begin(); it != clients_.end();) {
+      const auto next = std::next(it);
+      if (it->done) finished.splice(finished.end(), clients_, it);
+      it = next;
+    }
+  }
+  for (ClientSlot& client : finished) client.thread.join();
 }
 
 void ServeServer::handle_client(int fd, std::uint64_t client_id) {

@@ -31,6 +31,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -197,7 +198,19 @@ class ServeServer {
   }
 
  private:
+  /// One connected client: its handler thread and socket. The handler
+  /// closes the fd (fd = -1) and sets `done` under clients_mutex_ as its
+  /// last act, so the accept loop can join and drop the slot.
+  struct ClientSlot {
+    std::thread thread;
+    int fd = -1;
+    bool done = false;
+  };
+
   void accept_loop();
+  /// Joins and drops every finished handler, so threads and their stacks
+  /// do not pile up with the number of connections ever accepted.
+  void reap_finished_clients();
   void handle_client(int fd, std::uint64_t client_id);
   void serve_request(int fd, std::mutex& send_mutex, std::int32_t tag,
                      std::uint64_t client_id, const ServeRequestHeader& header,
@@ -210,8 +223,7 @@ class ServeServer {
   int port_ = 0;
   std::thread accept_thread_;
   std::mutex clients_mutex_;
-  std::vector<std::thread> client_threads_;
-  std::vector<int> client_fds_;
+  std::list<ClientSlot> clients_;  ///< guarded by clients_mutex_
   std::atomic<std::uint64_t> clients_served_{0};
   std::atomic<std::uint64_t> next_client_id_{0};
   std::mutex shutdown_mutex_;

@@ -57,8 +57,8 @@ struct EngineStats {
   std::size_t panels_swept = 0;
   double seconds = 0.0;
 
-  /// Name of the kernel variant actually run (config Auto resolved through
-  /// the one-shot microbenchmark; static string, never null).
+  /// Name of the kernel variant actually run (config Auto resolved by the
+  /// static panel rule; static string, never null).
   const char* kernel = "?";
   /// Name of the pair statistic the pass evaluated (static string).
   const char* estimator = "bspline";

@@ -37,17 +37,14 @@ class ExpressionMatrix;
 
 // --- kernel plan ------------------------------------------------------------
 
-/// Kernel, panel width and memory-side policies resolved once per pass,
-/// before the parallel region: config Auto goes through the one-shot
-/// microbenchmarks (core/sweep.cpp), and the stats report the variant that
-/// actually ran. Non-B-spline statistics plan width-1 scalar panels — the
-/// generic fallback loops pairs, so only B-spline needs SIMD panels.
+/// Kernel and panel width resolved once per pass, before the parallel
+/// region (core/sweep.cpp); the stats report the variant that actually ran.
+/// Non-B-spline statistics plan width-1 scalar panels — the generic
+/// fallback loops pairs, so only B-spline needs SIMD panels.
 struct PanelPlan {
-  MiKernel kernel;   ///< concrete kernel handed to every panel sweep
+  MiKernel kernel;   ///< concrete panel kernel handed to every panel sweep
   int width;         ///< panel width B (1..kMaxPanelWidth)
   const char* name;  ///< resolved variant name for EngineStats
-  bool prefetch = false;  ///< software prefetch in the panel kernels
-  bool packed = false;    ///< FMA panels read the packed table rows
   const char* stat_name = "bspline";  ///< estimator name for stats/metrics
 };
 
@@ -80,8 +77,8 @@ class PairStatistic {
   virtual double marginal_entropy() const { return 0.0; }
 
   /// Resolves the per-pass panel plan. The default is the scalar width-1
-  /// plan that drives the generic fallback; B-spline overrides with the
-  /// measured kernel/width/knob resolution.
+  /// plan that drives the generic fallback; B-spline overrides with its
+  /// SIMD kernel and cache-fitted width.
   virtual PanelPlan plan(const TingeConfig& config) const;
 
   virtual std::unique_ptr<PairScratch> make_scratch() const;
@@ -97,18 +94,16 @@ class PairStatistic {
   /// kernels. Must be bit-identical to per-pair eval_pair calls.
   virtual void eval_panel(const std::uint32_t* x,
                           const std::uint32_t* const* ys, std::size_t width,
-                          std::size_t i, std::size_t j0,
-                          const PanelOptions& options, PairScratch& scratch,
-                          double* out) const;
+                          std::size_t i, std::size_t j0, MiKernel kernel,
+                          PairScratch& scratch, double* out) const;
 
   /// Staged (uint16) variant. The default widens into the scratch staging
   /// buffers and reuses eval_pair — lossless, so staged sweeps match
   /// unstaged ones bitwise for every statistic.
   virtual void eval_panel(const std::uint16_t* x,
                           const std::uint16_t* const* ys, std::size_t width,
-                          std::size_t i, std::size_t j0,
-                          const PanelOptions& options, PairScratch& scratch,
-                          double* out) const;
+                          std::size_t i, std::size_t j0, MiKernel kernel,
+                          PairScratch& scratch, double* out) const;
 
   /// Scores one permutation-null draw: x and y are two independent random
   /// permutations of 0..m-1. The default delegates to eval_pair with
@@ -158,11 +153,11 @@ class BsplineStat final : public PairStatistic {
                    PairScratch& scratch) const override;
   void eval_panel(const std::uint32_t* x, const std::uint32_t* const* ys,
                   std::size_t width, std::size_t i, std::size_t j0,
-                  const PanelOptions& options, PairScratch& scratch,
+                  MiKernel kernel, PairScratch& scratch,
                   double* out) const override;
   void eval_panel(const std::uint16_t* x, const std::uint16_t* const* ys,
                   std::size_t width, std::size_t i, std::size_t j0,
-                  const PanelOptions& options, PairScratch& scratch,
+                  MiKernel kernel, PairScratch& scratch,
                   double* out) const override;
   double eval_null_pair(const std::uint32_t* x, const std::uint32_t* y,
                         PairScratch& scratch) const override;

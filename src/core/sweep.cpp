@@ -36,40 +36,12 @@ SweepPlan SweepPlan::from_tiles(std::vector<Tile> tiles) {
 }
 
 PanelPlan plan_panels(const BsplineMi& estimator, const TingeConfig& config) {
-  const WeightTable& table = estimator.table();
   const int width = config.panel_width > 0
                         ? std::min(config.panel_width, kMaxPanelWidth)
-                        : auto_panel_width(table);
-  const MiKernel kernel = resolve_kernel_measured(config.kernel, table, width);
-  PanelPlan plan{kernel, width,
-                 kernel_name(resolve_panel_kernel(kernel, table.order()))};
-  switch (config.packed_table) {
-    case KnobMode::On:
-      plan.packed = true;
-      break;
-    case KnobMode::Off:
-      plan.packed = false;
-      break;
-    case KnobMode::Auto: {
-      const PanelOptions base{kernel, false, false};
-      plan.packed = packed_pays_measured(table, base, width);
-      break;
-    }
-  }
-  switch (config.prefetch) {
-    case KnobMode::On:
-      plan.prefetch = true;
-      break;
-    case KnobMode::Off:
-      plan.prefetch = false;
-      break;
-    case KnobMode::Auto: {
-      PanelOptions base{kernel, false, plan.packed};
-      plan.prefetch = prefetch_pays_measured(table, base, width);
-      break;
-    }
-  }
-  return plan;
+                        : auto_panel_width(estimator.table());
+  const MiKernel kernel =
+      resolve_panel_kernel(config.kernel, estimator.table().order());
+  return PanelPlan{kernel, width, kernel_name(kernel)};
 }
 
 LaneLedger::LaneLedger(const SweepPlan& plan, std::size_t n_lanes,

@@ -102,12 +102,13 @@ class SweepPlan {
 // --- kernel plan ------------------------------------------------------------
 //
 // PanelPlan itself lives in core/pair_statistic.h (each statistic resolves
-// its own plan); the measured B-spline resolution stays here.
+// its own plan); the B-spline resolution stays here.
 
-/// Resolves kernel, panel width and memory-side knobs for a B-spline pass:
-/// config Auto goes through the one-shot microbenchmarks here (not in the
-/// hot loop), and the stats report the variant that actually ran. This is
-/// what BsplineStat::plan delegates to.
+/// Resolves kernel and panel width for a B-spline pass, statically: the
+/// panel kernel is resolve_panel_kernel(config.kernel, order) and an Auto
+/// width comes from auto_panel_width. Nothing is timed, so every call with
+/// the same inputs returns the same plan. This is what BsplineStat::plan
+/// delegates to.
 PanelPlan plan_panels(const BsplineMi& estimator, const TingeConfig& config);
 
 // --- scheduler --------------------------------------------------------------
@@ -502,7 +503,6 @@ void sweep_tile(const PairStatistic& estimator, RowSource& row,
   // resolution on eval_panel picks the matching variant.
   using RankT = std::remove_cv_t<
       std::remove_pointer_t<decltype(row(std::size_t{0}))>>;
-  const PanelOptions options{plan.kernel, plan.prefetch, plan.packed};
   const RankT* ry[kMaxPanelWidth];
   double mi[kMaxPanelWidth];
   std::size_t panel_index = 0;
@@ -511,7 +511,8 @@ void sweep_tile(const PairStatistic& estimator, RowSource& row,
       [&](std::size_t i, std::size_t j0, std::size_t width) {
         if (stride > 1 && panel_index++ % stride != phase) return;
         for (std::size_t p = 0; p < width; ++p) ry[p] = row(j0 + p);
-        estimator.eval_panel(row(i), ry, width, i, j0, options, scratch, mi);
+        estimator.eval_panel(row(i), ry, width, i, j0, plan.kernel, scratch,
+                             mi);
         ++counters.panels;
         counters.pairs += width;
         for (std::size_t p = 0; p < width; ++p) sink.pair(tid, i, j0 + p, mi[p]);

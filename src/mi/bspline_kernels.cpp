@@ -1,19 +1,12 @@
 #include "mi/bspline_kernels.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstring>
-#include <map>
-#include <mutex>
-#include <tuple>
-#include <vector>
 
 #include "simd/math.h"
 #include "simd/simd.h"
-#include "stats/rng.h"
 #include "util/contracts.h"
-#include "util/timer.h"
 
 namespace tinge {
 
@@ -241,16 +234,10 @@ double entropy_from_region(const float* cells, std::size_t count, std::size_t m)
 //
 // All panel variants are templated on the rank element type RankT (uint32
 // classic, uint16 staged) — the index arithmetic is identical, only the
-// bytes streamed per sample halve. The scalar/FMA/gather512 ladder
-// additionally takes a Prefetch flag (table-row prefetches for sample
-// j + kPrefetchDistance: the rank streams are sequential and hardware-
-// prefetched, but the rank-indexed table rows are not), and the FMA ladder
-// a Packed flag (read the interleaved [weights | first_bin] rows).
+// bytes streamed per sample halve.
 // --------------------------------------------------------------------------
 
-inline void prefetch_read(const void* p) { __builtin_prefetch(p, 0, 3); }
-
-template <typename RankT, bool Prefetch>
+template <typename RankT>
 void panel_accumulate_scalar(const WeightTable& table, const RankT* rx,
                              const RankT* const* ry, std::size_t width,
                              std::size_t m, float* hist,
@@ -261,14 +248,6 @@ void panel_accumulate_scalar(const WeightTable& table, const RankT* rx,
   const std::size_t ws = table.weight_stride();
   const int k = table.order();
   for (std::size_t j = 0; j < m; ++j) {
-    if constexpr (Prefetch) {
-      const std::size_t jn = j + kPrefetchDistance;
-      if (jn < m) {
-        prefetch_read(weights + static_cast<std::size_t>(rx[jn]) * ws);
-        for (std::size_t p = 0; p < width; ++p)
-          prefetch_read(weights + static_cast<std::size_t>(ry[p][jn]) * ws);
-      }
-    }
     const std::size_t rxj = rx[j];
     const float* wx = weights + rxj * ws;
     const std::size_t x_base =
@@ -317,48 +296,29 @@ void panel_accumulate_unrolled(const WeightTable& table, const RankT* rx,
   }
 }
 
-template <typename V, typename RankT, bool Packed, bool Prefetch>
+template <typename V, typename RankT>
 void panel_accumulate_simd(const WeightTable& table, const RankT* rx,
                            const RankT* const* ry, std::size_t width,
                            std::size_t m, float* hist, std::size_t hist_stride,
                            std::size_t region_cells) {
-  // Packed: one interleaved row per rank carries the weights AND the
-  // bit-cast first_bin, so a y-side lookup touches one cache-line-bounded
-  // row instead of a weight row plus a separate first_bin load. The float
-  // values are identical either way — so are the results.
-  const float* rows = Packed ? table.packed_data() : table.weights_data();
-  const std::size_t row_stride =
-      Packed ? table.packed_stride() : table.weight_stride();
+  const float* weights = table.weights_data();
   const std::int32_t* first_bin = table.first_bin_data();
-  const std::size_t fb_slot = table.packed_first_bin_slot();
+  const std::size_t ws = table.weight_stride();
   const int k = table.order();
   for (std::size_t j = 0; j < m; ++j) {
-    if constexpr (Prefetch) {
-      const std::size_t jn = j + kPrefetchDistance;
-      if (jn < m) {
-        prefetch_read(rows + static_cast<std::size_t>(rx[jn]) * row_stride);
-        for (std::size_t p = 0; p < width; ++p)
-          prefetch_read(rows +
-                        static_cast<std::size_t>(ry[p][jn]) * row_stride);
-      }
-    }
     const std::size_t rxj = rx[j];
-    const float* wx = rows + rxj * row_stride;
-    const std::int32_t fbx =
-        Packed ? std::bit_cast<std::int32_t>(wx[fb_slot]) : first_bin[rxj];
-    const std::size_t x_base = static_cast<std::size_t>(fbx) * hist_stride;
+    const float* wx = weights + rxj * ws;
+    const std::size_t x_base =
+        static_cast<std::size_t>(first_bin[rxj]) * hist_stride;
     // The row gene's broadcasts are hoisted once per sample and reused by
     // every panel member — the core of the row-reuse win.
     V wxv[BsplineBasis::kMaxOrder];
     for (int a = 0; a < k; ++a) wxv[a] = V::broadcast(wx[a]);
     for (std::size_t p = 0; p < width; ++p) {
       const std::size_t ryj = ry[p][j];
-      const float* wy = rows + ryj * row_stride;
-      const V wyv = V::loadu(wy);
-      const std::int32_t fby =
-          Packed ? std::bit_cast<std::int32_t>(wy[fb_slot]) : first_bin[ryj];
-      float* base =
-          hist + p * region_cells + x_base + static_cast<std::size_t>(fby);
+      const V wyv = V::loadu(weights + ryj * ws);
+      float* base = hist + p * region_cells + x_base +
+                    static_cast<std::size_t>(first_bin[ryj]);
       for (int a = 0; a < k; ++a) {
         float* row = base + static_cast<std::size_t>(a) * hist_stride;
         V::fmadd(wxv[a], wyv, V::loadu(row)).storeu(row);
@@ -374,7 +334,7 @@ void panel_accumulate_simd(const WeightTable& table, const RankT* rx,
 // distinct by construction — no replicas needed, unlike the per-pair
 // gather kernel. wx[a] is shared by the whole panel and broadcast to all
 // lanes. Requires order <= 4 (weight rows padded to 4 floats).
-template <typename RankT, bool Prefetch>
+template <typename RankT>
 void panel_accumulate_gather512(const WeightTable& table, const RankT* rx,
                                 const RankT* const* ry, std::size_t width,
                                 std::size_t m, float* hist,
@@ -398,14 +358,6 @@ void panel_accumulate_gather512(const WeightTable& table, const RankT* rx,
   const std::size_t groups = width / 4;
 
   for (std::size_t j = 0; j < m; ++j) {
-    if constexpr (Prefetch) {
-      const std::size_t jn = j + kPrefetchDistance;
-      if (jn < m) {
-        prefetch_read(weights + static_cast<std::size_t>(rx[jn]) * ws);
-        for (std::size_t p = 0; p < width; ++p)
-          prefetch_read(weights + static_cast<std::size_t>(ry[p][jn]) * ws);
-      }
-    }
     const std::size_t rxj = rx[j];
     const float* wx = weights + rxj * ws;
     const std::int32_t x_base = first_bin[rxj] * stride_i32;
@@ -504,90 +456,6 @@ MiKernel resolve_panel_kernel(MiKernel kernel, int order) {
   return MiKernel::Simd;
 }
 
-MiKernel panel_equivalent_kernel(MiKernel kernel) {
-  switch (kernel) {
-    case MiKernel::Scalar:
-    case MiKernel::Unrolled:
-      return kernel;
-    case MiKernel::Simd:
-    case MiKernel::Replicated:
-    case MiKernel::Gather512:
-    case MiKernel::Auto:
-      return MiKernel::Simd;
-  }
-  return MiKernel::Simd;
-}
-
-namespace {
-
-// One-shot microbenchmark backing resolve_kernel_measured: times the
-// FMA-SIMD formulation against the 512-bit gather/scatter one on synthetic
-// permutation ranks shaped like the caller's table, and returns the faster
-// kernel. Deliberately tiny (a few sweeps per candidate, best-of to shed
-// scheduler noise) — it runs once per process per flavor.
-MiKernel measure_auto_kernel(const WeightTable& table, bool panel_flavor) {
-  JointHistogram scratch = make_kernel_scratch(table);
-  const std::size_t m = table.n_samples();
-  Xoshiro256 rng(20140519);
-  std::vector<std::vector<std::uint32_t>> profiles;
-  const std::size_t n_profiles = panel_flavor
-                                     ? static_cast<std::size_t>(kMaxPanelWidth) + 1
-                                     : 2;
-  profiles.reserve(n_profiles);
-  for (std::size_t g = 0; g < n_profiles; ++g)
-    profiles.push_back(random_permutation(m, rng));
-
-  const MiKernel candidates[2] = {
-      panel_flavor ? MiKernel::Simd : MiKernel::Replicated,
-      MiKernel::Gather512};
-  double best_seconds[2] = {0.0, 0.0};
-  const std::uint32_t* ry[kMaxPanelWidth];
-  double h_panel[kMaxPanelWidth];
-  for (std::size_t p = 0; p < static_cast<std::size_t>(kMaxPanelWidth); ++p)
-    ry[p] = profiles[std::min(p + 1, n_profiles - 1)].data();
-
-  constexpr int kRounds = 3;
-  constexpr int kSweeps = 4;
-  for (int round = 0; round < kRounds; ++round) {
-    for (int c = 0; c < 2; ++c) {
-      const Stopwatch watch;
-      for (int sweep = 0; sweep < kSweeps; ++sweep) {
-        if (panel_flavor) {
-          joint_entropy_panel(table, profiles[0].data(), ry,
-                              static_cast<std::size_t>(kMaxPanelWidth), m,
-                              scratch, candidates[c], h_panel);
-        } else {
-          h_panel[0] = joint_entropy(table, profiles[0].data(),
-                                     profiles[1].data(), m, scratch,
-                                     candidates[c]);
-        }
-      }
-      const double elapsed = watch.seconds();
-      if (round == 0 || elapsed < best_seconds[c]) best_seconds[c] = elapsed;
-    }
-  }
-  return best_seconds[1] < best_seconds[0] ? candidates[1] : candidates[0];
-}
-
-}  // namespace
-
-MiKernel resolve_kernel_measured(MiKernel kernel, const WeightTable& table,
-                                 int panel_width) {
-  if (kernel != MiKernel::Auto) return kernel;  // explicit config wins
-  const int order = table.order();
-  const bool panel_flavor = panel_width > 1;
-  if (!gather512_available() || order > 4) {
-    return panel_flavor ? resolve_panel_kernel(kernel, order)
-                        : resolve_kernel(kernel, order);
-  }
-  if (panel_flavor) {
-    static const MiKernel winner = measure_auto_kernel(table, true);
-    return winner;
-  }
-  static const MiKernel winner = measure_auto_kernel(table, false);
-  return winner;
-}
-
 int auto_panel_width(const WeightTable& table) {
   // All B joint histograms must stay cache-resident across the whole
   // m-sample sweep: the sweep round-robins the B regions every sample, so
@@ -684,39 +552,11 @@ double joint_entropy(const WeightTable& table, const std::uint32_t* rx,
 
 namespace {
 
-// Folds the runtime packed/prefetch flags into the compile-time template
-// parameters of the FMA panel. Packed is only honoured here — the other
-// variants read the classic layout (gather512's index math needs the
-// separate ws == 4 weight rows).
-template <typename V, typename RankT>
-void panel_simd_dispatch(bool packed, bool prefetch, const WeightTable& table,
-                         const RankT* rx, const RankT* const* ry,
-                         std::size_t width, std::size_t m, float* hist,
-                         std::size_t hs, std::size_t region_cells) {
-  if (packed) {
-    if (prefetch) {
-      panel_accumulate_simd<V, RankT, true, true>(table, rx, ry, width, m,
-                                                  hist, hs, region_cells);
-    } else {
-      panel_accumulate_simd<V, RankT, true, false>(table, rx, ry, width, m,
-                                                   hist, hs, region_cells);
-    }
-  } else {
-    if (prefetch) {
-      panel_accumulate_simd<V, RankT, false, true>(table, rx, ry, width, m,
-                                                   hist, hs, region_cells);
-    } else {
-      panel_accumulate_simd<V, RankT, false, false>(table, rx, ry, width, m,
-                                                    hist, hs, region_cells);
-    }
-  }
-}
-
 template <typename RankT>
 void joint_entropy_panel_impl(const WeightTable& table, const RankT* rx,
                               const RankT* const* ry, std::size_t width,
                               std::size_t m, JointHistogram& scratch,
-                              const PanelOptions& options, double* h_out) {
+                              MiKernel kernel, double* h_out) {
   TINGE_EXPECTS(width >= 1);
   TINGE_EXPECTS(width <= static_cast<std::size_t>(kMaxPanelWidth));
   TINGE_EXPECTS(m == table.n_samples());
@@ -726,20 +566,13 @@ void joint_entropy_panel_impl(const WeightTable& table, const RankT* rx,
   const std::size_t hs = scratch.stride();
   float* hist = scratch.data();
   const std::size_t region_cells = static_cast<std::size_t>(table.bins()) * hs;
-  const bool prefetch = options.prefetch;
 
   // One clear for the whole panel (regions are stacked contiguously).
   std::memset(hist, 0, width * region_cells * sizeof(float));
 
-  switch (resolve_panel_kernel(options.kernel, k)) {
+  switch (resolve_panel_kernel(kernel, k)) {
     case MiKernel::Scalar:
-      if (prefetch) {
-        panel_accumulate_scalar<RankT, true>(table, rx, ry, width, m, hist,
-                                             hs, region_cells);
-      } else {
-        panel_accumulate_scalar<RankT, false>(table, rx, ry, width, m, hist,
-                                              hs, region_cells);
-      }
+      panel_accumulate_scalar(table, rx, ry, width, m, hist, hs, region_cells);
       break;
     case MiKernel::Unrolled:
       switch (k) {
@@ -752,20 +585,15 @@ void joint_entropy_panel_impl(const WeightTable& table, const RankT* rx,
         case 7: panel_accumulate_unrolled<7>(table, rx, ry, width, m, hist, hs, region_cells); break;
         case 8: panel_accumulate_unrolled<8>(table, rx, ry, width, m, hist, hs, region_cells); break;
         default:
-          panel_accumulate_scalar<RankT, false>(table, rx, ry, width, m, hist,
-                                                hs, region_cells);
+          panel_accumulate_scalar(table, rx, ry, width, m, hist, hs,
+                                  region_cells);
           break;
       }
       break;
     case MiKernel::Gather512:
 #if defined(__AVX512F__)
-      if (prefetch) {
-        panel_accumulate_gather512<RankT, true>(table, rx, ry, width, m, hist,
-                                                hs, region_cells);
-      } else {
-        panel_accumulate_gather512<RankT, false>(table, rx, ry, width, m,
-                                                 hist, hs, region_cells);
-      }
+      panel_accumulate_gather512(table, rx, ry, width, m, hist, hs,
+                                 region_cells);
       break;
 #else
       TINGE_ASSERT(false);  // resolve_panel_kernel falls back before dispatch
@@ -773,11 +601,11 @@ void joint_entropy_panel_impl(const WeightTable& table, const RankT* rx,
 #endif
     case MiKernel::Simd:
       if (k <= 4) {
-        panel_simd_dispatch<simd::F32x4>(options.packed, prefetch, table, rx,
-                                         ry, width, m, hist, hs, region_cells);
+        panel_accumulate_simd<simd::F32x4>(table, rx, ry, width, m, hist, hs,
+                                           region_cells);
       } else {
-        panel_simd_dispatch<simd::F32x8>(options.packed, prefetch, table, rx,
-                                         ry, width, m, hist, hs, region_cells);
+        panel_accumulate_simd<simd::F32x8>(table, rx, ry, width, m, hist, hs,
+                                           region_cells);
       }
       break;
     case MiKernel::Replicated:
@@ -797,121 +625,14 @@ void joint_entropy_panel(const WeightTable& table, const std::uint32_t* rx,
                          const std::uint32_t* const* ry, std::size_t width,
                          std::size_t m, JointHistogram& scratch,
                          MiKernel kernel, double* h_out) {
-  joint_entropy_panel_impl(table, rx, ry, width, m, scratch,
-                           PanelOptions{kernel}, h_out);
-}
-
-void joint_entropy_panel(const WeightTable& table, const std::uint32_t* rx,
-                         const std::uint32_t* const* ry, std::size_t width,
-                         std::size_t m, JointHistogram& scratch,
-                         const PanelOptions& options, double* h_out) {
-  joint_entropy_panel_impl(table, rx, ry, width, m, scratch, options, h_out);
+  joint_entropy_panel_impl(table, rx, ry, width, m, scratch, kernel, h_out);
 }
 
 void joint_entropy_panel(const WeightTable& table, const std::uint16_t* rx,
                          const std::uint16_t* const* ry, std::size_t width,
                          std::size_t m, JointHistogram& scratch,
-                         const PanelOptions& options, double* h_out) {
-  joint_entropy_panel_impl(table, rx, ry, width, m, scratch, options, h_out);
-}
-
-namespace {
-
-// One-shot microbenchmark backing prefetch_pays_measured and
-// packed_pays_measured: same synthetic permutation setup as
-// measure_auto_kernel, timing the two candidate panel configurations
-// head-to-head and returning whether `with` beat `without`.
-bool measure_policy_wins(const WeightTable& table,
-                         const PanelOptions& without, const PanelOptions& with,
-                         int width) {
-  JointHistogram scratch = make_kernel_scratch(table);
-  const std::size_t m = table.n_samples();
-  Xoshiro256 rng(20140519);
-  const auto w = static_cast<std::size_t>(width);
-  std::vector<std::vector<std::uint32_t>> profiles;
-  profiles.reserve(w + 1);
-  for (std::size_t g = 0; g < w + 1; ++g)
-    profiles.push_back(random_permutation(m, rng));
-  const std::uint32_t* ry[kMaxPanelWidth];
-  double h_panel[kMaxPanelWidth];
-  for (std::size_t p = 0; p < w; ++p) ry[p] = profiles[p + 1].data();
-
-  const PanelOptions candidates[2] = {without, with};
-  double best_seconds[2] = {0.0, 0.0};
-  constexpr int kRounds = 3;
-  constexpr int kSweeps = 4;
-  for (int round = 0; round < kRounds; ++round) {
-    for (int c = 0; c < 2; ++c) {
-      const Stopwatch watch;
-      for (int sweep = 0; sweep < kSweeps; ++sweep) {
-        joint_entropy_panel(table, profiles[0].data(), ry, w, m, scratch,
-                            candidates[c], h_panel);
-      }
-      const double elapsed = watch.seconds();
-      if (round == 0 || elapsed < best_seconds[c]) best_seconds[c] = elapsed;
-    }
-  }
-  return best_seconds[1] < best_seconds[0];
-}
-
-// Memoized verdicts of measure_policy_wins, keyed on everything that
-// changes the measurement: which policy is under test, the resolved kernel,
-// the table shape (order, bins, m), the panel width and the base packing.
-// A process mixing estimators (different m or order — the bench ablations,
-// the estimator studies) measures each configuration once instead of
-// inheriting the first caller's verdict.
-bool measured_policy_cached(int policy, const WeightTable& table,
-                            MiKernel resolved, const PanelOptions& without,
-                            const PanelOptions& with, int width) {
-  using Key =
-      std::tuple<int, MiKernel, int, int, std::size_t, int, bool>;
-  static std::mutex mutex;
-  static std::map<Key, bool> verdicts;
-  const Key key{policy,        resolved, table.order(), table.bins(),
-                table.n_samples(), width,    without.packed};
-  // Measuring under the lock serializes concurrent first calls for the same
-  // key; these run once per configuration, before the parallel region.
-  const std::lock_guard<std::mutex> lock(mutex);
-  auto it = verdicts.find(key);
-  if (it == verdicts.end()) {
-    it = verdicts
-             .emplace(key, measure_policy_wins(table, without, with, width))
-             .first;
-  }
-  return it->second;
-}
-
-constexpr int kPolicyPrefetch = 0;
-constexpr int kPolicyPacked = 1;
-
-}  // namespace
-
-bool prefetch_pays_measured(const WeightTable& table, const PanelOptions& base,
-                            int panel_width) {
-  const MiKernel resolved = resolve_panel_kernel(base.kernel, table.order());
-  if (resolved == MiKernel::Unrolled) return false;  // flag is a no-op there
-  const int width = std::clamp(panel_width, 1, kMaxPanelWidth);
-  PanelOptions off = base;
-  off.prefetch = false;
-  PanelOptions on = base;
-  on.prefetch = true;
-  return measured_policy_cached(kPolicyPrefetch, table, resolved, off, on,
-                                width);
-}
-
-bool packed_pays_measured(const WeightTable& table, const PanelOptions& base,
-                          int panel_width) {
-  // Only the FMA (Simd) panels read the packed rows; everywhere else the
-  // flag is a no-op and measuring it would just time noise.
-  if (resolve_panel_kernel(base.kernel, table.order()) != MiKernel::Simd)
-    return false;
-  const int width = std::clamp(panel_width, 1, kMaxPanelWidth);
-  PanelOptions off = base;
-  off.packed = false;
-  PanelOptions on = base;
-  on.packed = true;
-  return measured_policy_cached(kPolicyPacked, table, MiKernel::Simd, off, on,
-                                width);
+                         MiKernel kernel, double* h_out) {
+  joint_entropy_panel_impl(table, rx, ry, width, m, scratch, kernel, h_out);
 }
 
 }  // namespace tinge

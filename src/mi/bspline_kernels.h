@@ -8,8 +8,10 @@
 //     P[ix + a][iy + c] += wx[a] * wy[c]      a, c in [0, order)
 //
 // Kernel variants (benchmarked against each other in bench_mi_kernels):
-//   Scalar     — the textbook triple loop; the paper's baseline.
+//   Scalar     — the textbook triple loop; the paper's baseline and the
+//                reference every vectorized result is checked against.
 //   Unrolled   — order known at compile time, inner loops fully unrolled.
+//                Explicit opt-in only.
 //   Simd       — wy is loaded once as a padded vector; each row update is a
 //                single broadcast*vector FMA (the paper's VPU formulation).
 //   Replicated — Simd plus K-way histogram replication: consecutive samples
@@ -28,7 +30,9 @@
 //                group writes its own histogram replica, so the scattered
 //                indices never collide — the same conflict-free-by-
 //                construction trick the paper uses to vectorize scatter
-//                updates on the Phi's VPU.
+//                updates on the Phi's VPU. Explicit opt-in only: on the
+//                AVX-512 hosts measured so far it runs at about half the
+//                speed of the FMA panel (DESIGN §6a).
 //
 // Panel (row-reuse) formulation — joint_entropy_panel:
 //   The tiled O(n^2) pass pairs every row gene i with every column gene j of
@@ -48,22 +52,16 @@
 //   operations in the same order, so panel results are bit-identical to the
 //   matching per-pair kernel.
 //
-// Memory-side panel policies (PanelOptions), independent of the variant
-// ladder and bit-identical by construction:
-//   * uint16 rank staging — ranks are exact integers < m, so when
-//     m <= 65536 the panel entry points also accept uint16 rank rows
-//     (StagedRankMatrix in preprocess/rank_transform.h), halving the
-//     streamed rank traffic of the O(n^2) sweep. The indices select the
-//     same table rows, so results are bit-identical to the uint32 path.
-//   * packed table rows — the FMA panels can read the WeightTable's
-//     interleaved [weights | first_bin] rows (one cache-line-bounded load
-//     per y-side lookup instead of two scattered ones).
-//   * software prefetch — the scalar/FMA/gather512 panels can issue
-//     prefetches for the table rows of sample j + kPrefetchDistance,
-//     covering the rank-indexed (hardware-prefetch-opaque) loads.
+// uint16 rank staging: ranks are exact integers < m, so when m <= 65536 the
+// panel entry point also accepts uint16 rank rows (StagedRankMatrix in
+// preprocess/rank_transform.h), halving the streamed rank bytes of the
+// O(n^2) sweep. The indices select the same table rows, so results are
+// bit-identical to the uint32 path.
 //
-// All variants return H(X,Y) in nats and produce identical results up to
-// float summation order.
+// Kernel choice is static: Auto never measures anything. Panels run Simd;
+// per-pair calls run Replicated for order <= 4 and Simd above. All variants
+// return H(X,Y) in nats and produce identical results up to float summation
+// order.
 #pragma once
 
 #include <cstdint>
@@ -86,23 +84,6 @@ inline constexpr int kHistogramReplicas = 4;
 /// Maximum panel width B accepted by joint_entropy_panel. Scratch from
 /// make_kernel_scratch always carries this many histogram regions.
 inline constexpr int kMaxPanelWidth = 8;
-
-/// Samples of lookahead for the software-prefetch panel variants: far
-/// enough to cover L2 latency, near enough that the rows are still resident
-/// when their sample arrives.
-inline constexpr std::size_t kPrefetchDistance = 16;
-
-/// Memory-side policy of one panel sweep, resolved once per pass (the
-/// kernel-policy flag measured-auto picks through, see plan_panels):
-/// `prefetch` issues software prefetches for upcoming samples' table rows
-/// in the scalar/FMA/gather512 panels; `packed` makes the FMA panels read
-/// the interleaved packed table rows. Both leave results bit-identical —
-/// they change where bytes come from, not which floats are multiplied.
-struct PanelOptions {
-  MiKernel kernel = MiKernel::Auto;
-  bool prefetch = false;
-  bool packed = false;
-};
 
 /// Scratch sized for any kernel variant: Replicated needs kHistogramReplicas
 /// regions, the panel kernels up to kMaxPanelWidth.
@@ -128,20 +109,17 @@ void joint_entropy_panel(const WeightTable& table, const std::uint32_t* ranks_x,
                          std::size_t m, JointHistogram& scratch,
                          MiKernel kernel, double* h_out);
 
-/// Full-policy panel entry points: kernel plus the packed/prefetch knobs.
-/// The uint16 overload is the staged-rank path (requires every rank < m and
-/// m <= 65536, see StagedRankMatrix) and is bit-identical to the uint32
-/// overload for the same options.
-void joint_entropy_panel(const WeightTable& table, const std::uint32_t* ranks_x,
-                         const std::uint32_t* const* ranks_y, std::size_t width,
-                         std::size_t m, JointHistogram& scratch,
-                         const PanelOptions& options, double* h_out);
+/// Staged-rank panel entry point (requires every rank < m and m <= 65536,
+/// see StagedRankMatrix); bit-identical to the uint32 overload for the
+/// same kernel.
 void joint_entropy_panel(const WeightTable& table, const std::uint16_t* ranks_x,
                          const std::uint16_t* const* ranks_y, std::size_t width,
                          std::size_t m, JointHistogram& scratch,
-                         const PanelOptions& options, double* h_out);
+                         MiKernel kernel, double* h_out);
 
-/// The kernel actually run when `kernel` is Auto for this table.
+/// The per-pair kernel actually run for `kernel` at this order: Auto is
+/// Replicated for order <= 4 and Simd above; Gather512 falls back to
+/// Replicated when the ISA or order rules it out.
 MiKernel resolve_kernel(MiKernel kernel, int order);
 
 /// The panel variant joint_entropy_panel runs for `kernel`: Replicated and
@@ -149,42 +127,6 @@ MiKernel resolve_kernel(MiKernel kernel, int order);
 /// chain replication exists for), Gather512 falls back to Simd when the ISA
 /// or order rules it out.
 MiKernel resolve_panel_kernel(MiKernel kernel, int order);
-
-/// The per-pair kernel whose float accumulation order reproduces the
-/// engine's panel sweep bits for `kernel`: Scalar and Unrolled are exact
-/// per-pair equivalents already, while the whole SIMD family (Simd,
-/// Replicated, Gather512, Auto — including Auto's measured resolution)
-/// shares the panel path's FMA-SIMD accumulation of MiKernel::Simd.
-/// Per-pair code that must match the engine bit-for-bit (e.g. the cluster
-/// ring sweep) routes its kernel choice through this instead of passing
-/// the configured kernel straight to joint_entropy.
-MiKernel panel_equivalent_kernel(MiKernel kernel);
-
-/// Auto resolution backed by a one-shot microbenchmark: on AVX-512F builds
-/// with order <= 4 the FMA-SIMD and gather/scatter formulations are timed
-/// once per process (first table wins; subsequent calls reuse the cached
-/// verdict) and the faster one is returned — this is how Auto can select
-/// Gather512, which the static policy never does. Panel (panel_width > 1)
-/// and per-pair flavors are measured and cached independently. Non-Auto
-/// kernels pass through untouched (the config override). Without AVX-512F
-/// or for order > 4 this is identical to the static resolution.
-MiKernel resolve_kernel_measured(MiKernel kernel, const WeightTable& table,
-                                 int panel_width);
-
-/// Measured arm of the prefetch policy flag: times one-shot panel sweeps of
-/// `base` against `base` + prefetch (same kernel and packed setting) and
-/// returns whether prefetch won. Cached per process like
-/// resolve_kernel_measured (first table wins). Always false for panel
-/// kernels that ignore the flag (Unrolled).
-bool prefetch_pays_measured(const WeightTable& table, const PanelOptions& base,
-                            int panel_width);
-
-/// Measured arm of the packed-table policy flag: times `base` against
-/// `base` + packed rows and returns whether packed won. Cached per process
-/// (first table wins). Always false when the resolved panel kernel is not
-/// Simd — only the FMA panels read the packed layout.
-bool packed_pays_measured(const WeightTable& table, const PanelOptions& base,
-                          int panel_width);
 
 /// Panel width the Auto policy picks for `table`: the largest
 /// B <= kMaxPanelWidth whose B joint-histogram regions fit the panel cache

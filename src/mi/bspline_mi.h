@@ -65,15 +65,14 @@ class BsplineMi {
     for (std::size_t p = 0; p < width; ++p) mi_out[p] = h2 - mi_out[p];
   }
 
-  /// Full-policy panel MI: kernel plus the packed/prefetch knobs, for
-  /// classic uint32 or staged uint16 rank rows (RankT). All option and
-  /// rank-width combinations are bit-identical (see bspline_kernels.h).
-  template <typename RankT>
-  void mi_panel(const RankT* ranks_x, const RankT* const* ranks_y,
-                std::size_t width, JointHistogram& scratch,
-                const PanelOptions& options, double* mi_out) const {
+  /// Staged-rank panel MI over uint16 rank rows (see StagedRankMatrix):
+  /// bit-identical to the uint32 overload for the same kernel.
+  void mi_panel(const std::uint16_t* ranks_x,
+                const std::uint16_t* const* ranks_y, std::size_t width,
+                JointHistogram& scratch, MiKernel kernel,
+                double* mi_out) const {
     tinge::joint_entropy_panel(table_, ranks_x, ranks_y, width, n_samples(),
-                               scratch, options, mi_out);
+                               scratch, kernel, mi_out);
     const double h2 = 2.0 * table_.marginal_entropy();
     for (std::size_t p = 0; p < width; ++p) mi_out[p] = h2 - mi_out[p];
   }

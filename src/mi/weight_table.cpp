@@ -1,7 +1,6 @@
 #include "mi/weight_table.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <vector>
 
@@ -39,19 +38,6 @@ WeightTable::WeightTable(std::size_t m, const BsplineBasis& basis)
     if (p > 0.0) h -= p * std::log(p);
   }
   marginal_entropy_ = h;
-  build_packed();
-}
-
-void WeightTable::build_packed() {
-  packed_stride_ = round_up(weight_stride_ + 1, 8);
-  packed_ = AlignedBuffer<float>(m_ * packed_stride_);
-  for (std::size_t r = 0; r < m_; ++r) {
-    const float* src = weights_.data() + r * weight_stride_;
-    float* dst = packed_.data() + r * packed_stride_;
-    std::copy(src, src + weight_stride_, dst);
-    dst[weight_stride_] = std::bit_cast<float>(first_bin_[r]);
-    // trailing padding already zero-initialized
-  }
 }
 
 WeightTable::WeightTable(std::size_t m, int bins, int order,
@@ -74,7 +60,6 @@ WeightTable::WeightTable(std::size_t m, int bins, int order,
   TINGE_EXPECTS(first_bin.size() == m);
   std::copy(weights.begin(), weights.end(), weights_.data());
   std::copy(first_bin.begin(), first_bin.end(), first_bin_.data());
-  build_packed();
 }
 
 }  // namespace tinge

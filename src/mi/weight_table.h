@@ -11,18 +11,6 @@
 // B-spline evaluation from the O(n^2) stage and turns the kernel into pure
 // table-driven fused multiply-adds. It also makes the marginal entropy a
 // single dataset-wide constant, exposed here.
-//
-// Two physical layouts coexist:
-//   * classic — weights_ (m x weight_stride floats) and first_bin_ (m
-//     int32) as separate arrays. The per-pair kernels and the AVX-512
-//     gather/scatter kernel read this.
-//   * packed — one interleaved array of m rows of packed_stride floats:
-//     [w_0 .. w_{ws-1}, bit_cast<float>(first_bin), zero padding]. A
-//     sample's entire y-side lookup (weight row + first bin) is one
-//     contiguous, cache-line-bounded load instead of two scattered ones —
-//     the stride is padded so a row never straddles a 64-byte line. The
-//     FMA panel kernels read this when PanelOptions::packed is set; the
-//     float values are identical, so results stay bit-identical.
 #pragma once
 
 #include <cstdint>
@@ -59,19 +47,6 @@ class WeightTable {
   const float* weights_data() const { return weights_.data(); }
   const std::int32_t* first_bin_data() const { return first_bin_.data(); }
 
-  /// Floats per packed row: weight_stride + 1 (the bit-cast first_bin slot)
-  /// rounded up to 8, so a row is 32 or 64 bytes and never straddles a
-  /// cache line.
-  std::size_t packed_stride() const { return packed_stride_; }
-
-  /// The interleaved rows: packed_data()[r * packed_stride() + c] is weight
-  /// c of rank r for c < weight_stride(), and bit_cast<float>(first_bin(r))
-  /// at c == weight_stride().
-  const float* packed_data() const { return packed_.data(); }
-
-  /// Column of the bit-cast first_bin inside a packed row.
-  std::size_t packed_first_bin_slot() const { return weight_stride_; }
-
   std::span<const float> weights(std::size_t rank) const {
     TINGE_EXPECTS(rank < m_);
     return {weights_.data() + rank * weight_stride_, weight_stride_};
@@ -86,16 +61,12 @@ class WeightTable {
   double marginal_entropy() const { return marginal_entropy_; }
 
  private:
-  void build_packed();
-
   std::size_t m_;
   int bins_;
   int order_;
   std::size_t weight_stride_;
-  std::size_t packed_stride_ = 0;
-  AlignedBuffer<float> weights_;        // m x weight_stride
+  AlignedBuffer<float> weights_;           // m x weight_stride
   AlignedBuffer<std::int32_t> first_bin_;  // m
-  AlignedBuffer<float> packed_;         // m x packed_stride, interleaved
   double marginal_entropy_ = 0.0;
 };
 

@@ -190,22 +190,6 @@ TEST(PanelPolicy, PanelResolutionLadder) {
   EXPECT_EQ(resolve_panel_kernel(MiKernel::Gather512, 6), MiKernel::Simd);
 }
 
-TEST(PanelPolicy, MeasuredAutoPicksAConcreteEligibleKernel) {
-  const WeightTable table(256, BsplineBasis(10, 3));
-  const MiKernel pair = resolve_kernel_measured(MiKernel::Auto, table, 1);
-  EXPECT_TRUE(pair == MiKernel::Replicated || pair == MiKernel::Gather512);
-  if (!gather512_available()) EXPECT_EQ(pair, MiKernel::Replicated);
-  const MiKernel panel = resolve_kernel_measured(MiKernel::Auto, table, 8);
-  EXPECT_TRUE(panel == MiKernel::Simd || panel == MiKernel::Gather512);
-  // Explicit kernels pass through untouched (the config override).
-  EXPECT_EQ(resolve_kernel_measured(MiKernel::Scalar, table, 8),
-            MiKernel::Scalar);
-  EXPECT_EQ(resolve_kernel_measured(MiKernel::Gather512, table, 1),
-            MiKernel::Gather512);
-  // One-shot: the verdict is cached and stable within a process.
-  EXPECT_EQ(panel, resolve_kernel_measured(MiKernel::Auto, table, 8));
-}
-
 // ---- engine determinism: panel sweep vs per-pair seed path -----------------
 
 struct EdgeKey {

@@ -11,6 +11,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -26,6 +28,7 @@
 #include "preprocess/rank_transform.h"
 #include "synth/expression.h"
 #include "util/contracts.h"
+#include "util/timer.h"
 
 namespace tinge {
 namespace {
@@ -353,6 +356,56 @@ TEST_F(ServeDaemonTest, ClientVanishingMidFrameLeavesTheDaemonServing) {
   const std::vector<double> values =
       client.mi_pairs(std::vector<GenePair>{{1, 2}});
   EXPECT_EQ(values.size(), 1u);
+}
+
+TEST_F(ServeDaemonTest, SequentialPingsDoNotWaitOnDelayedAcks) {
+  // A frame split over two sends, or a socket left to Nagle, makes every
+  // request wait out the peer's delayed ACK (~40 ms on Linux). Twenty
+  // round trips on loopback must take a small fraction of that each.
+  ServeClient client("127.0.0.1", server_->port());
+  client.ping();
+  const Stopwatch watch;
+  for (int i = 0; i < 20; ++i) client.ping();
+  EXPECT_LT(watch.seconds(), 0.4);
+}
+
+/// Virtual address space of this process in KiB (VmSize), or -1.
+long vm_size_kib() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line))
+    if (line.rfind("VmSize:", 0) == 0) return std::stol(line.substr(7));
+  return -1;
+}
+
+TEST_F(ServeDaemonTest, SequentialConnectionsDoNotGrowAddressSpace) {
+  // Every handler thread reserves a stack; a daemon that joins them only at
+  // stop() grows by megabytes per connection it has ever accepted. The
+  // allocator also reserves a 64 MiB arena whenever more threads allocate
+  // at once than it has arenas free, and a starting handler can overlap the
+  // exit of the previous one. The warm-up therefore holds 16 connections
+  // open together, so those arenas exist before the baseline is taken, and
+  // each measured round waits until the daemon has served its client.
+  {
+    std::vector<ServeClient> crowd;
+    for (int i = 0; i < 16; ++i) {
+      crowd.emplace_back("127.0.0.1", server_->port());
+      crowd.back().ping();
+    }
+  }
+  const auto connect_once = [this] {
+    const std::size_t served = server_->clients_served();
+    ServeClient("127.0.0.1", server_->port()).ping();
+    const Stopwatch watch;
+    while (server_->clients_served() == served && watch.seconds() < 5.0)
+      std::this_thread::yield();
+    ASSERT_GT(server_->clients_served(), served) << "handler never finished";
+  };
+  for (int i = 0; i < 20; ++i) connect_once();
+  const long before = vm_size_kib();
+  ASSERT_GT(before, 0);
+  for (int i = 0; i < 1000; ++i) connect_once();
+  EXPECT_LT(vm_size_kib() - before, 64L * 1024);
 }
 
 TEST_F(ServeDaemonTest, SweepJobStreamsProgressAndSummarizes) {
